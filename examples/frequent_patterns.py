@@ -64,10 +64,6 @@ def main(tiny: bool = False) -> None:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--engine", default="fast",
-                        choices=["fast", "reference"],
-                        help="accepted for CLI uniformity with the other "
-                        "examples; this one runs the software engine only")
     parser.add_argument("--tiny", action="store_true",
                         help="shrink the graph (used by the smoke tests)")
     main(tiny=parser.parse_args().tiny)

@@ -6,7 +6,7 @@ GRAMER model and reports performance and memory behaviour.
 
 Run with::
 
-    python examples/quickstart.py [--engine fast|reference] [--tiny]
+    python examples/quickstart.py [--tiny]
 """
 
 import argparse
@@ -16,7 +16,7 @@ from repro.graph import degree_stats, powerlaw_cluster
 from repro.mining import CliqueFinding, MotifCounting, run_dfs
 
 
-def main(engine: str = "fast", tiny: bool = False) -> None:
+def main(tiny: bool = False) -> None:
     # 1. A synthetic real-world-like graph (power-law degrees, clustering).
     graph = powerlaw_cluster(
         num_vertices=300 if tiny else 2_000,
@@ -40,7 +40,7 @@ def main(engine: str = "fast", tiny: bool = False) -> None:
     config = GramerConfig(
         onchip_entries=(graph.num_vertices + len(graph.neighbors)) // 4
     )
-    simulator = make_simulator(graph, config, engine=engine)
+    simulator = make_simulator(graph, config)
     result = simulator.run(MotifCounting(3))
     stats = result.stats
 
@@ -61,9 +61,7 @@ def main(engine: str = "fast", tiny: bool = False) -> None:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--engine", default="fast",
-                        choices=["fast", "reference"])
     parser.add_argument("--tiny", action="store_true",
                         help="shrink the graph (used by the smoke tests)")
     cli = parser.parse_args()
-    main(engine=cli.engine, tiny=cli.tiny)
+    main(tiny=cli.tiny)

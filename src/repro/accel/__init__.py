@@ -17,11 +17,9 @@ from .resources import (
 )
 from .fastsim import FastGramerSimulator
 from .sim import (
-    BIT_IDENTICAL_ENGINES,
     DEFAULT_ENGINE,
     ENGINES,
     AncestorBufferOverflowError,
-    GramerSimulator,
     SimResult,
     make_simulator,
 )
@@ -45,12 +43,10 @@ __all__ = [
     "ResourceReport",
     "estimate_resources",
     "AncestorBufferOverflowError",
-    "GramerSimulator",
     "FastGramerSimulator",
     "TurboGramerSimulator",
     "make_simulator",
     "ENGINES",
-    "BIT_IDENTICAL_ENGINES",
     "DEFAULT_ENGINE",
     "SimResult",
     "SimStats",

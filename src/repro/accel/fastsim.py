@@ -1,57 +1,73 @@
-"""Fast-path GRAMER engine: the reference model with the interpreter cost cut.
+"""The exact GRAMER engine: one discrete-event model, built for throughput.
 
-:class:`FastGramerSimulator` executes the *same* discrete-event model as
-:class:`~repro.accel.sim.GramerSimulator` — same functional/timing phase
-split, same global time-ordered event loop, same LAMH/DRAM state machines —
-but restructured for throughput:
+:class:`FastGramerSimulator` runs the model of :mod:`repro.accel.sim`.
+When a slot needs work, one extension step (a candidate proposal plus
+extend-check, or a traceback) runs *functionally* and records the step's
+operations: memory requests, each carrying the pipeline compute cycles
+before it.  The operations then replay through one global time-ordered
+event loop, so contention on the PU issue port (one step per cycle), the
+memory partitions (one request per cycle each) and the DRAM channels
+resolves exactly.  Cache state mutates at request *service* time, so
+hit/miss outcomes see the true interleaving.
+
+The loop is restructured for interpreter throughput:
 
 * **Flattened memory state.**  Cache sets live in flat tag/rank/last-access
   arrays indexed by ``set * ways + way`` (tag ``-1`` = invalid) instead of
   per-line objects; hit scans, fills and the Equation-2 victim search are
-  inlined over those arrays.  Sizing is not re-derived: the reference
+  inlined over those arrays.  Sizing is not re-derived:
   :func:`~repro.memory.hierarchy.build_hierarchy` runs once and the flat
   model is extracted from the objects it built, so cutoff/num_sets/τ
-  validation rules are shared by construction.
+  validation rules are shared by construction.  The counters are written
+  back into that hierarchy at the end of the run (``self.hierarchy``).
 * **Batched slot state.**  Per-slot clocks, busy counters and recorded-op
   queues are parallel arrays indexed by global slot id; partition and DRAM
   channel queues are plain integer arrays updated with branchless max
   arithmetic.
 * **Fused functional step.**  ``advance_frame`` + ``check_candidate`` +
   the adjacency search are inlined with direct appends to the op list,
-  eliminating the per-access recorder calls, and the CSR arrays are
-  accessed as Python lists (numpy scalar indexing dominates the reference
-  profile).
+  and the CSR arrays are accessed as Python lists (numpy scalar indexing
+  costs more than the rest of the step).
 * **Event-loop short-circuit.**  The model maintains at most one heap entry
   per slot, and a freshly pushed entry carries the largest sequence number
   (ties lose).  So when a slot's next event time is strictly earlier than
   the current heap head, the push/pop pair is skipped and the slot
   continues inline — the pop order is provably unchanged.
 
+Observability
+-------------
+An optional :class:`~repro.obs.hooks.SimInstrument` (Chrome trace,
+timeline windows, steal latencies) and an optional
+:class:`~repro.obs.access.AccessTrace` (LAMH service, priority-cache
+fills, ancestor-buffer pushes) attach to the same loop.  Every emit site
+sits behind a local ``is None`` test and only reads engine state, so a
+traced run is bit-identical to an untraced one.  Local counters are
+copied into ``self.stats`` only when a timeline window closes.
+
 Equivalence contract
 --------------------
-For every graph/config/application, ``FastGramerSimulator(...).run(app)``
-must produce byte-identical ``SimStats.as_dict()`` and mining results to
-the reference engine.  This is enforced by the differential harness
-(``tests/differential/``), the golden fixtures
-(``tests/experiments/golden/``) and the Table III determinism test.  Any
-behavioural change to the reference model must be mirrored here (and will
-be caught by those suites if it is not).
-
-Observability hooks are *not* supported: instrumented runs observe
-per-event state that this engine deliberately does not materialise, so
-:func:`~repro.accel.sim.make_simulator` forces the reference engine
-whenever an instrument is attached.
+For every graph/config/application the engine must produce byte-identical
+``SimStats.as_dict()``, mining results, exception types and observability
+events to the event-by-event oracle in ``tests/differential/oracle.py``.
+The differential suites (``tests/differential/``), the golden fixtures
+(``tests/experiments/golden/``) and the Table III determinism test
+enforce it.
 """
 
 from __future__ import annotations
 
 import heapq
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.memory.dram import DRAMModel
-from repro.memory.hierarchy import build_hierarchy
+from repro.memory.hierarchy import (
+    AccessLevel,
+    LocalityAwareHierarchy,
+    build_hierarchy,
+)
 from repro.memory.policies import LocalityPreservedPolicy, LRUPolicy
 from repro.mining.apps.base import Application
 from repro.mining.engine import Frame
@@ -67,15 +83,86 @@ from .sim import (
 )
 from .stats import SimStats
 
+if TYPE_CHECKING:
+    from repro.obs.access import AccessTrace
+    from repro.obs.hooks import SimInstrument
+
 __all__ = ["FastGramerSimulator"]
+
+_HIGH = AccessLevel.HIGH
+_LOW_HIT = AccessLevel.LOW_HIT
+_MISS = AccessLevel.MISS
+
+#: The scalar ``SimStats`` counters the run loop keeps in locals, in the
+#: order :func:`_store_counters` takes them.
+_COUNTERS = (
+    "candidates_checked",
+    "embeddings_accepted",
+    "roots_dispatched",
+    "steals",
+    "steal_attempts",
+    "vertex_high_hits",
+    "vertex_low_hits",
+    "vertex_misses",
+    "edge_high_hits",
+    "edge_low_hits",
+    "edge_misses",
+    "compute_cycles",
+    "vertex_wait_cycles",
+    "edge_wait_cycles",
+)
+
+
+def _store_counters(stats: SimStats, *values: int) -> None:
+    for name, value in zip(_COUNTERS, values):
+        setattr(stats, name, value)
+
+
+class _Occupancy:
+    """One PU's busy-slot count, as the timeline sampler reads it."""
+
+    __slots__ = ("busy_slots",)
+
+    def __init__(self) -> None:
+        self.busy_slots = 0
+
+
+def _write_back(
+    hierarchy: LocalityAwareHierarchy,
+    vertex: tuple[int, int, int],
+    edge: tuple[int, int, int],
+    v_evictions: list[int],
+    e_evictions: list[int],
+) -> None:
+    """Copy the run's (high, low, miss) counts into the built hierarchy."""
+    for side, (high, low, miss) in (
+        (hierarchy.vertex_side, vertex),
+        (hierarchy.edge_side, edge),
+    ):
+        side.scratchpad.hits = high
+        side.stats.high_hits = high
+        side.stats.low_hits = low
+        side.stats.misses = miss
+    vcache = hierarchy.vertex_side.low_cache
+    ecache = hierarchy.edge_side.low_cache
+    if vcache is ecache:
+        # Uniform baseline: both sides replayed one shared cache.
+        vcache.adopt_counters(
+            vertex[1] + edge[1], vertex[2] + edge[2], v_evictions
+        )
+    else:
+        vcache.adopt_counters(vertex[1], vertex[2], v_evictions)
+        ecache.adopt_counters(edge[1], edge[2], e_evictions)
 
 
 class FastGramerSimulator:
-    """Drop-in fast engine for :class:`~repro.accel.sim.GramerSimulator`.
+    """The exact GRAMER engine; build it through ``make_simulator``.
 
-    Same constructor contract as the reference engine except that
-    ``instrument`` must be ``None`` (use the factory, which routes
-    instrumented runs to the reference engine).
+    ``vertex_rank`` maps vertex ID to its ON1 rank.  By default ranks are
+    computed from the 1-hop occurrence numbers (§IV-B); the paper
+    physically reorders the graph so ID == rank, which is behaviourally
+    identical to carrying the rank map.  Pass ``use_on1_ranks=False`` for
+    the rank-oblivious ablation.
     """
 
     def __init__(
@@ -84,27 +171,26 @@ class FastGramerSimulator:
         config: GramerConfig | None = None,
         vertex_rank: np.ndarray | None = None,
         use_on1_ranks: bool = True,
-        instrument: object | None = None,
+        instrument: "SimInstrument | None" = None,
+        access_trace: "AccessTrace | None" = None,
     ) -> None:
-        if instrument is not None:
-            raise ValueError(
-                "the fast engine does not support observability hooks; "
-                "use make_simulator(), which forces engine='reference' "
-                "for instrumented runs"
-            )
         self.graph = graph
         self.config = config if config is not None else GramerConfig()
+        self.instrument = instrument
+        self.access_trace = access_trace
         self.vertex_rank = resolve_vertex_rank(graph, vertex_rank, use_on1_ranks)
         self.stats = SimStats()
+        self.hierarchy: LocalityAwareHierarchy | None = None
 
     # The run loop is one deliberately monolithic function: every helper
-    # call it avoids is ~100ns × tens of millions of events.  Each block is
-    # annotated with the reference-model code it transcribes.
+    # call it avoids is ~100ns × tens of millions of events.
     def run(self, app: Application) -> SimResult:  # noqa: C901
         """Execute ``app`` to completion; returns stats + mining results."""
         graph, cfg = self.graph, self.config
+        ins = self.instrument
+        trace = self.access_trace
 
-        # -- sizing: run the reference builders once, extract a flat model --
+        # -- sizing: run build_hierarchy once, extract a flat model -------
         hierarchy = build_hierarchy(
             graph,
             total_entries=cfg.onchip_entries,
@@ -161,9 +247,27 @@ class FastGramerSimulator:
             e_last = [0] * (e_sets * ways)
         e_clock = 0
         e_addr_off = e_side.address_offset
+        v_sev = [0] * v_sets  # evictions per set
+        e_sev = v_sev if shared else [0] * e_sets
 
-        # Python lists: numpy scalar indexing is the reference profile's
-        # single largest line item, and values are identical post-tolist().
+        # Access-trace emitters: the typed helpers of repro.obs.hooks, so
+        # the event schema keeps one author.
+        v_obs = e_obs = v_fill = e_fill = emit_ancestor = None
+        if trace is not None:
+            from repro.obs.hooks import (
+                ancestor_push_emitter,
+                attach_access_observers,
+            )
+
+            attach_access_observers(hierarchy, trace)
+            v_obs, e_obs = v_side.observer, e_side.observer
+            v_fill, e_fill = vcache.fill_observer, ecache.fill_observer
+            emit_ancestor = ancestor_push_emitter(
+                trace, depth_capacity=cfg.ancestor_depth
+            )
+
+        # Python lists: numpy scalar indexing would be the loop's single
+        # largest line item, and values are identical post-tolist().
         vrank = self.vertex_rank.tolist()
         erank = (
             hierarchy.edge_rank.tolist()
@@ -192,7 +296,7 @@ class FastGramerSimulator:
         S = cfg.slots_per_pu
         G = P * S
 
-        # -- application + root dispatch (shared with the reference) -------
+        # -- application + root dispatch ------------------------------------
         app.prepare(graph)
         clique_only = app.clique_only
         max_vertices = app.max_vertices
@@ -212,8 +316,8 @@ class FastGramerSimulator:
         # Busy cycles are derived, not accumulated: a slot is busy from t=0
         # to its final time except for idle gaps (dispatch arrival waits,
         # steal-retry backoffs), which are rare and recorded where they
-        # occur.  busy[g] == final_time[g] - gap[g] exactly matches the
-        # reference's per-event (after - before) sums.
+        # occur.  busy[g] == final_time[g] - gap[g] exactly matches
+        # per-event (after - before) sums.
         slot_time = [0] * G
         slot_gap = [0] * G
         stacks: list[list[Frame]] = [[] for _ in range(G)]
@@ -227,7 +331,8 @@ class FastGramerSimulator:
         part_free = [0] * nparts
         ch_free = [0] * nch
 
-        # -- stats accumulators (folded into SimStats at the end) ----------
+        # -- stats accumulators (folded into SimStats at the end, and at
+        # every timeline window boundary of a traced run) ------------------
         candidates_checked = 0
         embeddings_accepted = 0
         roots_dispatched = 0
@@ -238,30 +343,52 @@ class FastGramerSimulator:
         compute_cycles = 0
         v_wait = e_wait = 0
 
-        # Heap entries are single ints: (time << 64) | (seq << 16) | g.
+        stats = SimStats()
+        self.stats = stats
+        self.hierarchy = hierarchy
+        window_end = 0
+        pu_views: list[_Occupancy] = []
+        if ins is not None:
+            ins.begin_run(P, stats)
+            window_end = ins.sampler.next_boundary
+            pu_views = [_Occupancy() for _ in range(P)]
+
+        # Heap entries are single ints: (time << tshift) | (seq << gbits) | g.
         # Integer comparison is substantially cheaper than tuple comparison
-        # in the pop/push sift loops, and ordering is identical to the
-        # reference's (t, seq, p, s) tuples: seq strictly increases per
-        # push, so same-time entries pop in push order.  Seeds match the
-        # reference: every slot at t=0 in row-major (p, s) order.
-        if G > 0xFFFF:
-            raise ValueError(
-                "fast engine supports at most 65535 slots; "
-                "use engine='reference' for larger machines"
-            )
-        heap: list[int] = [(g << 16) | g for g in range(G)]
+        # in the pop/push sift loops, and ordering is that of (t, seq, g)
+        # tuples: seq strictly increases per push, so same-time entries pop
+        # in push order.  The slot id takes just the bits G needs and seq
+        # gets 48 bits above it.  Seeds: every slot at t=0 in row-major
+        # (p, s) order.
+        gbits = G.bit_length()
+        gmask = (1 << gbits) - 1
+        tshift = gbits + 48
+        heap: list[int] = [(g << gbits) | g for g in range(G)]
         seq = G
         heappush = heapq.heappush
 
         try:
             while heap:
                 ev = heapq.heappop(heap)
-                g = ev & 0xFFFF
-                t = ev >> 64
+                g = ev & gmask
+                t = ev >> tshift
                 # Inner loop: keep driving slot g while its next event is
                 # provably the next pop (strictly earlier than the heap
                 # head; a pushed entry would lose every tie on seq).
                 while True:
+                    if ins is not None and t >= window_end:
+                        # A timeline window closes: the sampler reads the
+                        # counters as they stood before this event.
+                        _store_counters(
+                            stats, candidates_checked, embeddings_accepted,
+                            roots_dispatched, steals, steal_attempts,
+                            v_hi, v_lo, v_miss, e_hi, e_lo, e_miss,
+                            compute_cycles, v_wait, e_wait,
+                        )
+                        for view, busy in zip(pu_views, pu_busy):
+                            view.busy_slots = busy
+                        ins.advance(t, stats, pu_views)
+                        window_end = ins.sampler.next_boundary
                     tg = slot_time[g]
                     if t > tg:
                         slot_gap[g] += t - tg
@@ -270,9 +397,10 @@ class FastGramerSimulator:
                     if ops:
                         kind, address, src, pre = ops.pop()
                         tg += pre
+                        compute_cycles += pre
                     else:
-                        # -- slot needs a new step (reference: idle branch +
-                        # _record_step) --------------------------------------
+                        # -- slot needs a new step: dispatch or steal if
+                        # idle, then record the step ------------------------
                         p = pu_of[g]
                         stack = stacks[g]
                         if not stack:
@@ -286,12 +414,17 @@ class FastGramerSimulator:
                                 roots_dispatched += 1
                                 pu_busy[p] += 1
                                 sbufs[p].push(sid_of[g])
+                                if ins is not None:
+                                    ins.root_dispatched(p, sid_of[g], root, tg)
                             elif stealing and pu_busy[p] > 0:
                                 steal_attempts += 1
-                                # Inline ProcessingUnit.try_steal.
+                                sid = sid_of[g]
+                                if ins is not None:
+                                    ins.steal_attempted(p, sid, tg)
+                                # Victim selection: the stealing buffer, or
+                                # one LFSR-chosen slot (§V-C).
                                 stolen = None
                                 base_g = p * S
-                                sid = sid_of[g]
                                 if random_steal:
                                     x = lfsr[p]
                                     x ^= (x << 13) & 0xFFFFFFFF
@@ -323,10 +456,12 @@ class FastGramerSimulator:
                                     steals += 1
                                     pu_busy[p] += 1
                                     sbufs[p].push(sid)
+                                    if ins is not None:
+                                        ins.steal_succeeded(p, sid, tg)
                                 else:
                                     slot_time[g] = tg
                                     nt = tg + _STEAL_RETRY_CYCLES
-                                    pk = (nt << 64) | (seq << 16) | g
+                                    pk = (nt << tshift) | (seq << gbits) | g
                                     if heap and pk >= heap[0]:
                                         heappush(heap, pk)
                                         seq += 1
@@ -338,7 +473,9 @@ class FastGramerSimulator:
                                 slot_time[g] = tg
                                 break
 
-                        # -- functional phase: fused _record_step ------------
+                        # -- functional phase: one fused extension step ------
+                        if ins is not None:
+                            ins.step_started(p, sid_of[g], tg, len(stack))
                         frame = stack[-1]
                         ops = []
                         append = ops.append
@@ -375,13 +512,9 @@ class FastGramerSimulator:
                             frame.member_base = -1
                             frame.cursor_limit = None
 
-                        # compute_cycles is the order-independent sum of all
-                        # `pre` values ever serviced, so it is accumulated
-                        # here (once per step) rather than per event.
                         if candidate is None:
                             stack.pop()
                             pre += 1  # traceback: dequeue the ancestor record
-                            compute_cycles += issue_cycles + 1
                         else:
                             candidates_checked += 1
                             midx = frame.member_idx
@@ -438,14 +571,12 @@ class FastGramerSimulator:
                                         accepted = False
                                         break
                             pre += check_cycles
-                            compute_cycles += issue_cycles + check_cycles
                             if accepted:
                                 new_vertices = vertices + (candidate,)
                                 new_columns = frame.columns + (column,)
                                 if app_filter(graph, new_vertices, new_columns):
                                     app_process(graph, new_vertices, new_columns)
                                     pre += process_cycles
-                                    compute_cycles += process_cycles
                                     embeddings_accepted += 1
                                     if len(new_vertices) < max_vertices and (
                                         app_aggregate(
@@ -461,9 +592,16 @@ class FastGramerSimulator:
                                         stack.append(
                                             Frame(new_vertices, new_columns)
                                         )
+                                        if emit_ancestor is not None:
+                                            emit_ancestor(
+                                                sid_of[g], len(stack), tg
+                                            )
+                                        # §V-C: every embedding the
+                                        # Scheduler receives re-records
+                                        # its slot for idle thieves.
                                         sbufs[p].push(sid_of[g])
                         if pre or not ops:
-                            append((2, 0, 0, pre))  # _RecordingMemory.finish
+                            append((2, 0, 0, pre))  # trailing compute only
                         # Consumed back-to-front with list.pop(): cheaper
                         # than cursor bookkeeping, and `ops` doubles as the
                         # "step in flight" flag once reversed.
@@ -476,8 +614,9 @@ class FastGramerSimulator:
                         start = tg if tg > nf else nf
                         pu_free[p] = start + issue_cycles
                         tg = start + pre
+                        compute_cycles += pre
 
-                    # -- timing phase: inlined _service_op -------------------
+                    # -- timing phase: service one request -------------------
                     if kind == 0:
                         pi = address % nparts
                         pf = part_free[pi]
@@ -487,6 +626,9 @@ class FastGramerSimulator:
                         if rank < v_cut:
                             done = start + spm_lat
                             v_hi += 1
+                            if v_obs is not None:
+                                trace.cycle = start
+                                v_obs(address, rank, _HIGH)
                         else:
                             v_clock += 1
                             tag = address // v_line
@@ -503,6 +645,9 @@ class FastGramerSimulator:
                             if hit:
                                 done = start + hit_lat
                                 v_lo += 1
+                                if v_obs is not None:
+                                    trace.cycle = start
+                                    v_obs(address, rank, _LOW_HIT)
                             else:
                                 victim = -1
                                 w = base
@@ -538,15 +683,25 @@ class FastGramerSimulator:
                                                 stale = lw
                                                 victim = w
                                             w += 1
+                                    v_sev[base // ways] += 1
                                 v_tags[victim] = tag
                                 v_ranks[victim] = rank
                                 v_last[victim] = v_clock
+                                if v_obs is not None:
+                                    trace.cycle = start
+                                    v_fill(tag, rank)
+                                    v_obs(address, rank, _MISS)
                                 ch = address % nch
                                 cf = ch_free[ch]
                                 ds = start if start > cf else cf
                                 ch_free[ch] = ds + d_cpt
                                 done = ds + d_lat
                                 v_miss += 1
+                                if ins is not None:
+                                    ins.dram_fetch(
+                                        pu_of[g], sid_of[g], 0, address,
+                                        ts=start, dur=done - start, channel=ch,
+                                    )
                         v_wait += done - tg
                         tg = done
                     elif kind == 1:
@@ -558,6 +713,9 @@ class FastGramerSimulator:
                         if rank < e_cut:
                             done = start + spm_lat
                             e_hi += 1
+                            if e_obs is not None:
+                                trace.cycle = start
+                                e_obs(address, rank, _HIGH)
                         else:
                             if shared:
                                 v_clock += 1
@@ -579,6 +737,9 @@ class FastGramerSimulator:
                             if hit:
                                 done = start + hit_lat
                                 e_lo += 1
+                                if e_obs is not None:
+                                    trace.cycle = start
+                                    e_obs(address, rank, _LOW_HIT)
                             else:
                                 victim = -1
                                 w = base
@@ -614,9 +775,14 @@ class FastGramerSimulator:
                                                 stale = lw
                                                 victim = w
                                             w += 1
+                                    e_sev[base // ways] += 1
                                 e_tags[victim] = tag
                                 e_ranks[victim] = rank
                                 e_last[victim] = clk
+                                if e_obs is not None:
+                                    trace.cycle = start
+                                    e_fill(tag, rank)
+                                    e_obs(address, rank, _MISS)
                                 # DRAM channels key on the raw edge index.
                                 ch = address % nch
                                 cf = ch_free[ch]
@@ -624,41 +790,40 @@ class FastGramerSimulator:
                                 ch_free[ch] = ds + d_cpt
                                 done = ds + d_lat
                                 e_miss += 1
+                                if ins is not None:
+                                    ins.dram_fetch(
+                                        pu_of[g], sid_of[g], 1, address,
+                                        ts=start, dur=done - start, channel=ch,
+                                    )
                         e_wait += done - tg
                         tg = done
-                    # kind == 2 (_OP_END): trailing compute only.
+                    # kind == 2: trailing compute only.
 
-                    if not ops and not stacks[g]:
-                        pu_busy[pu_of[g]] -= 1
+                    if not ops:
+                        if not stacks[g]:
+                            pu_busy[pu_of[g]] -= 1
+                        if ins is not None:
+                            ins.step_finished(pu_of[g], sid_of[g], tg)
                     slot_time[g] = tg
-                    pk = (tg << 64) | (seq << 16) | g
+                    pk = (tg << tshift) | (seq << gbits) | g
                     if heap and pk >= heap[0]:
                         heappush(heap, pk)
                         seq += 1
                         break
                     t = tg
         finally:
-            # The reference engine bumps this per candidate; fold the batch
-            # in on every exit path so app state matches even on raise.
+            # Applications count candidates one by one; fold the batch in
+            # on every exit path so app state matches even on raise.
             app.candidates_checked += candidates_checked
 
         app.finalize(graph)
-        stats = SimStats()
         stats.cycles = max(slot_time, default=0)
-        stats.candidates_checked = candidates_checked
-        stats.embeddings_accepted = embeddings_accepted
-        stats.roots_dispatched = roots_dispatched
-        stats.steals = steals
-        stats.steal_attempts = steal_attempts
-        stats.vertex_high_hits = v_hi
-        stats.vertex_low_hits = v_lo
-        stats.vertex_misses = v_miss
-        stats.edge_high_hits = e_hi
-        stats.edge_low_hits = e_lo
-        stats.edge_misses = e_miss
-        stats.compute_cycles = compute_cycles
-        stats.vertex_wait_cycles = v_wait
-        stats.edge_wait_cycles = e_wait
+        _store_counters(
+            stats, candidates_checked, embeddings_accepted,
+            roots_dispatched, steals, steal_attempts,
+            v_hi, v_lo, v_miss, e_hi, e_lo, e_miss,
+            compute_cycles, v_wait, e_wait,
+        )
         stats.pu_finish_cycles = [
             max(slot_time[p * S:(p + 1) * S], default=0) for p in range(P)
         ]
@@ -667,5 +832,11 @@ class FastGramerSimulator:
             - sum(slot_gap[p * S:(p + 1) * S])
             for p in range(P)
         ]
-        self.stats = stats
+        _write_back(
+            hierarchy, (v_hi, v_lo, v_miss), (e_hi, e_lo, e_miss), v_sev, e_sev
+        )
+        if ins is not None:
+            for view, busy in zip(pu_views, pu_busy):
+                view.busy_slots = busy
+            ins.finish_run(stats, pu_views)
         return SimResult(stats=stats, mining=app.result(), config=cfg)

@@ -21,7 +21,9 @@ class SlotContext:
     """One pipeline slot: an ancestor-buffer stack plus its local clock.
 
     ``pending`` holds the recorded-but-not-yet-timed operations of the
-    step in flight (see ``repro.accel.sim``).
+    step in flight.  The fast engine keeps the same state in flat
+    per-slot arrays; this object form serves the event-by-event oracle
+    (``tests/differential/oracle.py``).
     """
 
     __slots__ = (

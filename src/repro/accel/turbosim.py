@@ -14,7 +14,7 @@ breaks that chain:
   of ``advance_frame`` + ``check_candidate``), and every counted quantity
   that is schedule-invariant — embedding counts, pattern sets,
   ``candidates_checked``, ``roots_dispatched`` — is therefore byte-identical
-  to the reference engine.  ``AncestorBufferOverflowError`` is likewise
+  to the reference model.  ``AncestorBufferOverflowError`` is likewise
   exact whenever overflow is schedule-independent (always when work
   stealing is off; see docs/turbo.md for the stealing caveat).
 * **Timing pass — decoupled and batched.**  Each access is classified
@@ -44,8 +44,10 @@ energy field must fall within a per-field relative/absolute band.  The
 hypothesis corpus and the Table III tiny grid (plus the golden envelope
 fixtures under ``tests/experiments/golden/turbo/``) enforce it.
 
-Observability hooks are not supported (there is no per-event state to
-observe); :func:`~repro.accel.sim.make_simulator` forces the reference
+"The reference" above is the event-by-event oracle in
+``tests/differential/oracle.py``, which the fast engine matches byte for
+byte.  Observability hooks are not supported (there is no per-event state
+to observe); :func:`~repro.accel.sim.make_simulator` returns the fast
 engine whenever an instrument or access trace is attached.
 """
 
@@ -79,7 +81,7 @@ class TurboGramerSimulator:
     """Decoupled-timing engine; same constructor contract as the others.
 
     ``instrument`` must be ``None`` (use the factory, which routes
-    instrumented runs to the reference engine).
+    instrumented runs to the fast engine).
     """
 
     def __init__(
@@ -93,8 +95,8 @@ class TurboGramerSimulator:
         if instrument is not None:
             raise ValueError(
                 "the turbo engine does not support observability hooks; "
-                "use make_simulator(), which forces engine='reference' "
-                "for instrumented runs"
+                "use make_simulator(), which routes instrumented runs "
+                "to the fast engine"
             )
         self.graph = graph
         self.config = config if config is not None else GramerConfig()
@@ -281,10 +283,9 @@ class TurboGramerSimulator:
                             sbufs[p].push(sid_of[g])
                         elif stealing and pu_busy[p] > 0:
                             steal_attempts += 1
-                            # Inline ProcessingUnit.try_steal (same
-                            # discipline and LFSR stream as the fast
-                            # engine, driven by rounds instead of the
-                            # 32-cycle retry clock).
+                            # Victim selection: the same discipline and
+                            # LFSR stream as the fast engine, driven by
+                            # rounds instead of the 32-cycle retry clock.
                             stolen = None
                             vic_g = -1
                             base_g = p * S
@@ -340,7 +341,7 @@ class TurboGramerSimulator:
                             continue
 
                     # -- one fused functional step (the fast engine's
-                    # transcription of _record_step) ----------------------
+                    # functional phase) -----------------------------------
                     frame = stack[-1]
                     pre = issue_cycles
                     vertices = frame.vertices
@@ -540,8 +541,8 @@ class TurboGramerSimulator:
                     keep(g)
                 runnable = still
         finally:
-            # The reference engine bumps this per candidate; fold the batch
-            # in on every exit path so app state matches even on raise.
+            # Applications count candidates one by one; fold the batch in
+            # on every exit path so app state matches even on raise.
             app.candidates_checked += candidates_checked
 
         app.finalize(graph)

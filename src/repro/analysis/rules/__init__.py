@@ -13,9 +13,8 @@ Importing this package registers every rule with the engine registry in
 * ``crossproc`` (GRM5xx) — large objects or closures shipped through
   process-pool submissions by value;
 * ``observability`` (GRM6xx) — bare ``print()`` bypassing the obs layer;
-* ``engine_selection`` (GRM7xx) — direct ``GramerSimulator`` construction
-  bypassing :func:`repro.accel.sim.make_simulator`, and exact equality
-  asserted on tolerance-banded turbo timing fields;
+* ``engine_selection`` (GRM7xx) — exact equality asserted on
+  tolerance-banded turbo timing fields;
 * ``resilience`` (GRM8xx) — broad exception handlers that swallow errors
   without re-raise or logging;
 * ``graph_store`` (GRM9xx) — graphs loaded or generated outside the

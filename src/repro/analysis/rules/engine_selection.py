@@ -1,17 +1,9 @@
 """Engine-selection rules (GRM7xx).
 
-The simulator ships three engines — the event-by-event reference, the
-bit-identical batched fast engine, and the tolerance-banded turbo tier —
-behind one factory, :func:`repro.accel.sim.make_simulator`.  Constructing
-``GramerSimulator`` directly pins the call site to the reference engine:
-it silently opts out of engine selection (``--engine``, backend params)
-and of the fast path every untraced run is supposed to use.
+The simulator ships two engines — the exact fast engine and the
+tolerance-banded turbo tier — behind one factory,
+:func:`repro.accel.sim.make_simulator`.
 
-* ``GRM701`` — direct ``GramerSimulator(...)`` construction outside
-  ``repro/accel/``.  Call ``make_simulator(...)`` instead; it routes to
-  the reference engine automatically when an instrument is attached or
-  ``engine="reference"`` is requested.  (Unit tests may still pin a
-  specific engine — ``gramer check`` gates ``src``, not ``tests``.)
 * ``GRM702`` — exact ``==``/``!=`` on a ``SimStats`` timing field in
   turbo context.  Turbo timing is statistical by contract
   (``docs/turbo.md``): the only sanctioned assertions are the tolerance
@@ -31,34 +23,6 @@ from repro.analysis.core import Finding, ModuleContext, rule
 
 def _is_exempt(relpath: str) -> bool:
     return "repro/accel/" in relpath
-
-
-@rule(
-    "GRM701",
-    "engine_selection",
-    "direct GramerSimulator() construction bypassing make_simulator()",
-)
-def direct_simulator_construction(context: ModuleContext) -> Iterator[Finding]:
-    if _is_exempt(context.relpath):
-        return
-    for node in ast.walk(context.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name != "GramerSimulator":
-            continue
-        yield context.finding(
-            node,
-            "GRM701",
-            "direct GramerSimulator() construction — build simulators "
-            "through repro.accel.sim.make_simulator() so the fast/"
-            "reference engine choice stays a call-site parameter",
-        )
 
 
 #: SimStats fields whose turbo values are tolerance-banded, never exact.

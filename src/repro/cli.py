@@ -31,12 +31,7 @@ import argparse
 import time
 
 from repro.accel.energy import gramer_energy
-from repro.accel.sim import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    AncestorBufferOverflowError,
-    make_simulator,
-)
+from repro.accel.sim import DEFAULT_ENGINE, ENGINES, make_simulator
 from repro.graph.stats import degree_stats
 from repro.mining.apps import make_app
 from repro.mining.engine import run_dfs
@@ -104,30 +99,11 @@ def _cmd_simulate(args) -> None:
         from repro.obs import SimInstrument
 
         instrument = SimInstrument(window_cycles=args.trace_window)
-        if args.engine != "reference":
-            print("note: traced runs use the reference engine "
-                  "(obs hooks observe per-event state)")
     print(degree_stats(graph).describe())
     start = time.perf_counter()
-    try:
-        result = make_simulator(
-            graph, config, engine=args.engine, instrument=instrument
-        ).run(app)
-    except AncestorBufferOverflowError:
-        raise  # model-level outcome: identical in every engine
-    except Exception as exc:
-        if args.engine != "fast" or instrument is not None:
-            # Only the fast engine degrades to the reference (they are
-            # byte-identical); turbo results are tolerance-banded, so a
-            # turbo failure must surface, not be silently substituted.
-            raise
-        # Graceful degradation (docs/resilience.md): one logged shot on
-        # the reference engine before giving up on the run.
-        print(f"fast engine failed ({type(exc).__name__}: {exc}); "
-              f"falling back to the reference engine")
-        result = make_simulator(
-            graph, config, engine="reference", instrument=instrument
-        ).run(app)
+    result = make_simulator(
+        graph, config, engine=args.engine, instrument=instrument
+    ).run(app)
     stats = result.stats
     print(
         f"simulated in {time.perf_counter() - start:.2f}s host time\n"
@@ -193,8 +169,8 @@ def _sweep_specs(args) -> list:
             )
     # Engine selection only applies to the simulator backend.  The default
     # engine stays out of the spec so artifact-cache keys are unchanged;
-    # a non-default engine (reference, or the tolerance-banded turbo)
-    # rides in params and therefore gets its own cache key.
+    # the tolerance-banded turbo engine rides in params and therefore gets
+    # its own cache key.
     gramer_params = (
         {"engine": args.engine} if args.engine != DEFAULT_ENGINE else None
     )
@@ -383,11 +359,14 @@ def _cmd_sweep(args) -> None:
         f"{len(results)} jobs ({cached} cached/resumed, {failed} failed, "
         f"{retried} retries) in {wall:.2f}s with {executor.jobs} worker(s)"
     )
-    slowest = sorted(results, key=lambda r: -r.wall_seconds)[:3]
+    # Only cells computed in this run: a cached or resumed cell carries
+    # the wall time of the run that computed it.
+    computed = [r for r in results if not r.cached]
+    slowest = sorted(computed, key=lambda r: -r.wall_seconds)[:3]
     if slowest and slowest[0].wall_seconds > 0:
         print("slowest jobs:")
         for r in slowest:
-            status = "cached" if r.cached else ("ok" if r.ok else "failed")
+            status = "ok" if r.ok else "failed"
             print(
                 f"  {r.wall_seconds:8.3f}s  {r.spec.label():40s} [{status}]"
             )
@@ -747,9 +726,6 @@ def _cmd_trace(args) -> None:
         raise SystemExit(
             f"unknown dataset {args.dataset!r}; see `gramer datasets`"
         )
-    if args.engine != "reference":
-        print("note: traced runs use the reference engine "
-              "(obs hooks observe per-event state)")
     tracer = Tracer()
     instrument = SimInstrument(tracer=tracer, window_cycles=args.window)
     spec = cell_jobspec("gramer", args.app, args.dataset, args.scale)
@@ -787,8 +763,8 @@ def _cmd_profile(args) -> None:
     instrument = SimInstrument(
         window_cycles=args.window, registry=registry
     )
-    # Instrumented: the factory routes this to the reference engine, whose
-    # hierarchy/pressure introspection the report below relies on.
+    # The engine writes its cache counters back into its hierarchy, which
+    # the pressure section of the report below reads.
     sim = make_simulator(graph, config, instrument=instrument)
     result = sim.run(app)
     sim.hierarchy.publish(registry)
@@ -1046,10 +1022,9 @@ def main(argv: list[str] | None = None) -> None:
                           help="timeline window width in cycles")
     simulate.add_argument("--engine", default=DEFAULT_ENGINE,
                           choices=list(ENGINES),
-                          help="simulation engine (fast is byte-identical "
-                               "to reference, turbo is tolerance-banded "
-                               "timing with exact mining; traced runs "
-                               "force reference)")
+                          help="simulation engine (fast is exact, turbo "
+                               "is tolerance-banded timing with exact "
+                               "mining; traced runs use fast)")
     simulate.set_defaults(func=_cmd_simulate)
 
     experiment = sub.add_parser("experiment",
@@ -1103,8 +1078,8 @@ def main(argv: list[str] | None = None) -> None:
     sweep.add_argument("--engine", default=DEFAULT_ENGINE,
                        choices=list(ENGINES),
                        help="simulation engine for gramer cells (fast is "
-                            "byte-identical to reference; turbo keeps "
-                            "mining exact, timing tolerance-banded)")
+                            "exact; turbo keeps mining exact, timing "
+                            "tolerance-banded)")
     sweep.add_argument("--workers", type=int, default=None, metavar="N",
                        help="distributed mode: spawn N `gramer worker` "
                             "processes sharding this grid via lease-based "
@@ -1238,10 +1213,6 @@ def main(argv: list[str] | None = None) -> None:
                        help="also write one event per line to PATH")
     trace.add_argument("--window", type=int, default=1024,
                        help="timeline window width in cycles")
-    trace.add_argument("--engine", default=DEFAULT_ENGINE,
-                       choices=list(ENGINES),
-                       help="accepted for symmetry; traced runs always use "
-                            "the reference engine")
     trace.set_defaults(func=_cmd_trace)
 
     profile = sub.add_parser(

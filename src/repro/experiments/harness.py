@@ -139,13 +139,12 @@ def run_gramer_cell(
 ) -> CellResult:
     """Simulate GRAMER for one Table III cell.
 
-    ``engine`` selects the simulation engine (``"fast"``/``"reference"``/
-    ``"turbo"``); ``None`` keeps it out of the job spec so cache keys stay
-    stable and the backend applies its default.  Fast and reference are
-    byte-identical, so choosing between them never affects the cell's
-    numbers; turbo keeps mining counts exact but its timing/energy fields
-    are only tolerance-banded (tests/differential/tolerance.py) and the
-    cell gets a distinct cache key.
+    ``engine`` selects the simulation engine (``"fast"``/``"turbo"``);
+    ``None`` keeps it out of the job spec so cache keys stay stable and
+    the backend applies its default (fast, the exact engine).  Turbo keeps
+    mining counts exact but its timing/energy fields are only
+    tolerance-banded (tests/differential/tolerance.py) and the cell gets
+    a distinct cache key.
     """
     params = {
         f"energy_{k}": v

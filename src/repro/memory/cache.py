@@ -130,6 +130,23 @@ class SetAssociativeCache:
         line.last_access = self._clock
         line.fill_seq = self._clock
 
+    def adopt_counters(
+        self, hits: int, misses: int, set_evictions: list[int]
+    ) -> None:
+        """Take the counters of a replay of this cache run elsewhere.
+
+        The fast engine runs this state machine over flat arrays and
+        writes its counts back here, so ``publish`` and ``set_pressure``
+        describe its run.  Line contents are not copied.
+        """
+        if len(set_evictions) != self.num_sets:
+            raise ValueError("set_evictions needs one count per set")
+        self.stats.accesses = hits + misses
+        self.stats.hits = hits
+        self.stats.misses = misses
+        self.stats.evictions = sum(set_evictions)
+        self._set_evictions = list(set_evictions)
+
     def set_eviction_counts(self) -> list[int]:
         """Evictions per set, in set order (copy)."""
         return list(self._set_evictions)

@@ -1,10 +1,11 @@
 """SimInstrument — the simulator-facing facade over tracer + timeline.
 
-:class:`~repro.accel.sim.GramerSimulator` accepts an optional instrument
-and calls its hooks from the event loop (root dispatch, extension steps,
-DRAM fetches, steal waits) — each hook is purely observational: it reads
-simulator state, never writes it, so a traced run produces bit-identical
-``SimStats`` to an untraced one (asserted by tests).
+The exact engine (:class:`~repro.accel.fastsim.FastGramerSimulator`)
+accepts an optional instrument and calls its hooks from the event loop
+(root dispatch, extension steps, DRAM fetches, steal waits) — each hook
+is purely observational: it reads simulator state, never writes it, so a
+traced run produces bit-identical ``SimStats`` to an untraced one
+(asserted by tests).
 
 Time base: the hooks receive simulated *cycles* and forward them to the
 tracer as microseconds one-for-one (see ``repro.obs.tracer``).  Track

@@ -34,7 +34,7 @@ class _StatsLike(Protocol):
 
 
 class _PULike(Protocol):
-    """Anything exposing instantaneous slot occupancy (ProcessingUnit does)."""
+    """Anything exposing instantaneous slot occupancy (one per PU)."""
 
     busy_slots: int
 
@@ -121,6 +121,15 @@ class TimelineSampler:
         self.windows: list[TimelineWindow] = []
         self._prev: dict[str, int] = {}
         self._boundary = window_cycles  # next close-at cycle
+
+    @property
+    def next_boundary(self) -> int:
+        """The cycle at which the next window closes.
+
+        ``advance`` with an earlier ``now`` is a no-op, so a caller may
+        skip it (and the stats sync it needs) until this cycle.
+        """
+        return self._boundary
 
     def begin(self, stats: _StatsLike) -> None:
         """Take the opening snapshot (call once before the event loop)."""

@@ -1,23 +1,19 @@
 """Engine selection and validation across the factory and the backend.
 
-The turbo engine tier added a third name to ``ENGINES``; these tests pin
-the selection contract: unknown names are rejected up front with a
-message listing the valid engines, observability hooks force the
-reference engine regardless of the requested name, and the turbo engine
-never silently degrades to the reference (its results are
-tolerance-banded, not byte-comparable).
+These tests pin the selection contract: ``src/`` ships one exact engine
+(fast) and the tolerance-banded turbo tier, unknown names are rejected up
+front with a message listing the valid engines, and observability hooks
+select the fast engine whatever name was requested.
 """
+
+import ast
+from pathlib import Path
 
 import pytest
 
 from repro.accel.config import GramerConfig
 from repro.accel.fastsim import FastGramerSimulator
-from repro.accel.sim import (
-    BIT_IDENTICAL_ENGINES,
-    ENGINES,
-    GramerSimulator,
-    make_simulator,
-)
+from repro.accel.sim import ENGINES, make_simulator
 from repro.accel.turbosim import TurboGramerSimulator
 from repro.graph import erdos_renyi
 from repro.obs import AccessTrace, SimInstrument
@@ -31,18 +27,26 @@ def graph():
 
 
 def test_engines_registry_shape():
-    assert ENGINES == ("fast", "reference", "turbo")
-    # Consumers that require byte-equality iterate this subset, not
-    # ENGINES: turbo is close-but-not-equal by design.
-    assert BIT_IDENTICAL_ENGINES == ("fast", "reference")
-    assert set(BIT_IDENTICAL_ENGINES) < set(ENGINES)
+    assert ENGINES == ("fast", "turbo")
+
+
+def test_src_defines_one_exact_engine():
+    """The event-by-event oracle lives in tests/differential/, not src/."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    defined = {
+        node.name
+        for path in src.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+    assert "FastGramerSimulator" in defined
+    assert not {"GramerSimulator", "ProcessingUnit"} & defined
 
 
 @pytest.mark.parametrize(
     ("engine", "expected_type"),
     [
         ("fast", FastGramerSimulator),
-        ("reference", GramerSimulator),
         ("turbo", TurboGramerSimulator),
     ],
 )
@@ -60,20 +64,20 @@ def test_factory_rejects_unknown_engine_listing_valid_ones(graph):
         assert name in message
 
 
-@pytest.mark.parametrize("engine", ["turbo", "fast"])
-def test_instrument_forces_reference_engine(graph, engine):
+@pytest.mark.parametrize("engine", ENGINES)
+def test_instrument_selects_fast_engine(graph, engine):
     sim = make_simulator(
         graph, GramerConfig(), engine=engine, instrument=SimInstrument()
     )
-    assert type(sim) is GramerSimulator
+    assert type(sim) is FastGramerSimulator
 
 
-@pytest.mark.parametrize("engine", ["turbo", "fast"])
-def test_access_trace_forces_reference_engine(graph, engine):
+@pytest.mark.parametrize("engine", ENGINES)
+def test_access_trace_selects_fast_engine(graph, engine):
     sim = make_simulator(
         graph, GramerConfig(), engine=engine, access_trace=AccessTrace()
     )
-    assert type(sim) is GramerSimulator
+    assert type(sim) is FastGramerSimulator
 
 
 def test_turbo_constructor_rejects_instrument(graph):

@@ -54,7 +54,7 @@ class TestDegreeBalanced:
 
     def test_sim_results_unchanged(self):
         from repro.accel.config import GramerConfig
-        from repro.accel.sim import GramerSimulator
+        from repro.accel.sim import make_simulator
         from repro.graph.generators import powerlaw_cluster
         from repro.mining.apps import CliqueFinding
         from repro.mining.engine import run_dfs
@@ -62,7 +62,7 @@ class TestDegreeBalanced:
         g = powerlaw_cluster(150, 3, 0.3, seed=44)
         ref = run_dfs(g, CliqueFinding(3)).num_cliques
         app = CliqueFinding(3)
-        GramerSimulator(
+        make_simulator(
             g,
             GramerConfig(onchip_entries=256, arbitrator="degree_balanced"),
         ).run(app)

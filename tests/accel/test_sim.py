@@ -1,9 +1,12 @@
-"""The GRAMER cycle simulator: functional equivalence plus timing behaviour."""
+"""The GRAMER cycle simulator: functional equivalence plus timing behaviour.
+
+Every test builds the shipped engine through ``make_simulator``.
+"""
 
 import pytest
 
 from repro.accel.config import GramerConfig
-from repro.accel.sim import AncestorBufferOverflowError, GramerSimulator
+from repro.accel.sim import AncestorBufferOverflowError, make_simulator
 from repro.graph.generators import clique, powerlaw_cluster, random_labels
 from repro.mining.apps import CliqueFinding, FrequentSubgraphMining, MotifCounting
 from repro.mining.engine import run_dfs
@@ -25,27 +28,27 @@ class TestFunctionalEquivalence:
 
     def test_clique_counts(self, graph):
         ref = run_dfs(graph, CliqueFinding(4)).result()
-        sim = GramerSimulator(graph, small_config()).run(CliqueFinding(4))
+        sim = make_simulator(graph, small_config()).run(CliqueFinding(4))
         assert sim.mining.embeddings_by_size == ref.embeddings_by_size
         assert sim.mining.patterns_by_size == ref.patterns_by_size
 
     def test_motif_counts(self, graph):
         ref = run_dfs(graph, MotifCounting(3)).result()
-        sim = GramerSimulator(graph, small_config()).run(MotifCounting(3))
+        sim = make_simulator(graph, small_config()).run(MotifCounting(3))
         assert sim.mining.patterns_by_size == ref.patterns_by_size
 
     def test_fsm_counts(self, graph):
         labeled = random_labels(graph, 3, seed=2)
         ref = run_dfs(labeled, FrequentSubgraphMining(5)).frequent_patterns()
         app = FrequentSubgraphMining(5)
-        GramerSimulator(labeled, small_config()).run(app)
+        make_simulator(labeled, small_config()).run(app)
         assert app.frequent_patterns() == ref
 
     def test_work_stealing_does_not_change_results(self, graph):
         ref = run_dfs(graph, CliqueFinding(4)).num_cliques
         for stealing in (True, False):
             app = CliqueFinding(4)
-            GramerSimulator(
+            make_simulator(
                 graph, small_config(work_stealing=stealing)
             ).run(app)
             assert app.num_cliques == ref
@@ -53,7 +56,7 @@ class TestFunctionalEquivalence:
     def test_random_victim_select_matches(self, graph):
         ref = run_dfs(graph, CliqueFinding(4)).num_cliques
         app = CliqueFinding(4)
-        GramerSimulator(
+        make_simulator(
             graph, small_config(steal_victim_select="random")
         ).run(app)
         assert app.num_cliques == ref
@@ -61,7 +64,7 @@ class TestFunctionalEquivalence:
     def test_policy_variants_match(self, graph):
         ref = run_dfs(graph, MotifCounting(3)).result()
         for policy in ("locality", "lru", "uniform"):
-            sim = GramerSimulator(
+            sim = make_simulator(
                 graph, small_config(low_policy=policy)
             ).run(MotifCounting(3))
             assert sim.mining.patterns_by_size == ref.patterns_by_size
@@ -69,15 +72,15 @@ class TestFunctionalEquivalence:
 
 class TestDeterminism:
     def test_same_seed_same_cycles(self, graph):
-        a = GramerSimulator(graph, small_config()).run(CliqueFinding(3))
-        b = GramerSimulator(graph, small_config()).run(CliqueFinding(3))
+        a = make_simulator(graph, small_config()).run(CliqueFinding(3))
+        b = make_simulator(graph, small_config()).run(CliqueFinding(3))
         assert a.cycles == b.cycles
         assert a.stats.steals == b.stats.steals
 
 
 class TestTimingBehaviour:
     def test_cycles_positive_and_seconds_consistent(self, graph):
-        res = GramerSimulator(graph, small_config()).run(CliqueFinding(3))
+        res = make_simulator(graph, small_config()).run(CliqueFinding(3))
         assert res.cycles > 0
         assert res.seconds == pytest.approx(
             res.cycles / (res.config.clock_mhz * 1e6)
@@ -86,26 +89,26 @@ class TestTimingBehaviour:
     def test_more_slots_is_faster(self, graph):
         cycles = {}
         for slots in (1, 4, 16):
-            res = GramerSimulator(
+            res = make_simulator(
                 graph, small_config(slots_per_pu=slots)
             ).run(CliqueFinding(4))
             cycles[slots] = res.cycles
         assert cycles[1] > cycles[4] > cycles[16]
 
     def test_more_pus_is_faster(self, graph):
-        one = GramerSimulator(graph, small_config(num_pus=1)).run(
+        one = make_simulator(graph, small_config(num_pus=1)).run(
             CliqueFinding(4)
         )
-        eight = GramerSimulator(graph, small_config(num_pus=8)).run(
+        eight = make_simulator(graph, small_config(num_pus=8)).run(
             CliqueFinding(4)
         )
         assert one.cycles > eight.cycles
 
     def test_work_stealing_helps_on_skew(self, graph):
-        on = GramerSimulator(
+        on = make_simulator(
             graph, small_config(work_stealing=True)
         ).run(CliqueFinding(4))
-        off = GramerSimulator(
+        off = make_simulator(
             graph, small_config(work_stealing=False)
         ).run(CliqueFinding(4))
         assert off.cycles > on.cycles
@@ -113,20 +116,20 @@ class TestTimingBehaviour:
         assert off.stats.steals == 0
 
     def test_larger_memory_not_slower(self, graph):
-        small = GramerSimulator(graph, small_config(onchip_entries=64)).run(
+        small = make_simulator(graph, small_config(onchip_entries=64)).run(
             CliqueFinding(4)
         )
-        large = GramerSimulator(
+        large = make_simulator(
             graph, small_config(onchip_entries=4096)
         ).run(CliqueFinding(4))
         assert large.cycles <= small.cycles
         assert large.stats.vertex_hit_ratio >= small.stats.vertex_hit_ratio
 
     def test_slower_dram_slower_run(self, graph):
-        fast = GramerSimulator(graph, small_config(dram_latency=20)).run(
+        fast = make_simulator(graph, small_config(dram_latency=20)).run(
             CliqueFinding(4)
         )
-        slow = GramerSimulator(graph, small_config(dram_latency=400)).run(
+        slow = make_simulator(graph, small_config(dram_latency=400)).run(
             CliqueFinding(4)
         )
         assert slow.cycles > fast.cycles
@@ -134,7 +137,7 @@ class TestTimingBehaviour:
 
 class TestStats:
     def test_access_accounting(self, graph):
-        res = GramerSimulator(graph, small_config()).run(MotifCounting(3))
+        res = make_simulator(graph, small_config()).run(MotifCounting(3))
         s = res.stats
         assert s.vertex_accesses > 0 and s.edge_accesses > 0
         assert 0.0 <= s.vertex_hit_ratio <= 1.0
@@ -146,13 +149,13 @@ class TestStats:
 
     def test_pu_lists_sized(self, graph):
         cfg = small_config(num_pus=4)
-        res = GramerSimulator(graph, cfg).run(CliqueFinding(3))
+        res = make_simulator(graph, cfg).run(CliqueFinding(3))
         assert len(res.stats.pu_finish_cycles) == 4
         assert len(res.stats.pu_busy_cycles) == 4
         assert max(res.stats.pu_finish_cycles) == res.cycles
 
     def test_load_imbalance_at_least_one(self, graph):
-        res = GramerSimulator(graph, small_config()).run(CliqueFinding(3))
+        res = make_simulator(graph, small_config()).run(CliqueFinding(3))
         assert res.stats.load_imbalance >= 1.0
 
 
@@ -161,16 +164,16 @@ class TestValidation:
         g = clique(12)
         cfg = small_config(ancestor_depth=3)
         with pytest.raises(AncestorBufferOverflowError):
-            GramerSimulator(g, cfg).run(CliqueFinding(8))
+            make_simulator(g, cfg).run(CliqueFinding(8))
 
     def test_bad_rank_length(self, graph):
         import numpy as np
 
         with pytest.raises(ValueError):
-            GramerSimulator(graph, small_config(), vertex_rank=np.arange(3))
+            make_simulator(graph, small_config(), vertex_rank=np.arange(3))
 
     def test_rank_oblivious_mode(self, graph):
-        sim = GramerSimulator(graph, small_config(), use_on1_ranks=False)
+        sim = make_simulator(graph, small_config(), use_on1_ranks=False)
         assert list(sim.vertex_rank) == list(range(graph.num_vertices))
 
     def test_config_validation(self):

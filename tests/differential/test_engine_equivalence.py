@@ -1,9 +1,10 @@
-"""Differential verification: the fast engine vs the reference engine.
+"""Differential verification: the fast engine vs the oracle.
 
-The batched engine (:mod:`repro.accel.fastsim`) promises *bit-identical*
-``SimStats`` — not approximately equal, byte-for-byte equal after JSON
-serialisation — for every configuration and workload.  This suite is the
-proof:
+The shipped exact engine (:mod:`repro.accel.fastsim`) promises
+*bit-identical* ``SimStats`` to the event-by-event oracle
+(``tests/differential/oracle.py``) — not approximately equal,
+byte-for-byte equal after JSON serialisation — for every configuration
+and workload.  This suite is the proof:
 
 * randomized property tests (hypothesis) over the GramerConfig space ×
   random graphs × applications, and
@@ -23,27 +24,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel.config import GramerConfig
-from repro.accel.sim import BIT_IDENTICAL_ENGINES, make_simulator
 from repro.experiments import datasets
 from repro.experiments.paper_data import TABLE3_APPS
 from repro.graph import erdos_renyi, powerlaw_cluster, random_labels
 from repro.mining import make_app
 from repro.runtime.backends import build_app
+from tests.differential.oracle import REFERENCE, simulator
 
 APPS = ["3-CF", "4-CF", "3-MC", "4-MC", "FSM-2"]
+
+#: The shipped exact engine, then the oracle it must match.
+EXACT_ENGINES = ("fast", REFERENCE)
 
 
 def _snapshot(graph, config, app_name, engine, vertex_rank=None):
     """Run one engine to a comparable value: stats + counts, or the error.
 
-    Construction and run are folded together because the reference engine
-    validates (and builds the hierarchy) in ``__init__`` while the fast
-    engine defers to ``run`` — a config rejected by one must compare equal
-    to the same rejection by the other.
+    Construction and run are folded together because the oracle validates
+    (and builds the hierarchy) in ``__init__`` while the fast engine
+    defers to ``run`` — a config rejected by one must compare equal to the
+    same rejection by the other.
     """
     app = make_app(app_name)
     try:
-        result = make_simulator(
+        result = simulator(
             graph, config, engine=engine, vertex_rank=vertex_rank
         ).run(app)
     except Exception as error:  # noqa: BLE001 - the type IS the payload
@@ -59,7 +63,7 @@ def _snapshot(graph, config, app_name, engine, vertex_rank=None):
 def assert_engines_agree(graph, config, app_name, vertex_rank=None):
     fast, reference = (
         _snapshot(graph, config, app_name, engine, vertex_rank)
-        for engine in BIT_IDENTICAL_ENGINES
+        for engine in EXACT_ENGINES
     )
     if fast != reference:
         for key in reference:
@@ -140,6 +144,17 @@ def test_engines_bit_identical_with_identity_ranks(graph, config, app_name):
     assert_engines_agree(graph, config, app_name, vertex_rank=identity)
 
 
+def test_more_than_65535_slots_matches_oracle():
+    """Heap keys size their slot-id field from the machine, so a machine
+    wider than 16 bits of slot ids still runs, in the oracle's pop order.
+    Stealing is off: every idle slot of this machine would otherwise
+    retry every 32 cycles for the whole run."""
+    graph = erdos_renyi(12, 30, seed=3)
+    config = GramerConfig(num_pus=2, slots_per_pu=33000, work_stealing=False)
+    assert config.num_pus * config.slots_per_pu > 0xFFFF
+    assert_engines_agree(graph, config, "4-CF")
+
+
 def _grid_cell(app_name, graph_name):
     scale = "tiny"
     app = build_app(app_name, graph_name, scale)
@@ -147,16 +162,16 @@ def _grid_cell(app_name, graph_name):
     graph = loader(graph_name, scale)
     config = GramerConfig()
     results = {}
-    for engine in BIT_IDENTICAL_ENGINES:
+    for engine in EXACT_ENGINES:
         cell_app = build_app(app_name, graph_name, scale)
-        result = make_simulator(graph, config, engine=engine).run(cell_app)
+        result = simulator(graph, config, engine=engine).run(cell_app)
         results[engine] = (
             json.dumps(result.stats.as_dict(), sort_keys=True),
             result.mining.embeddings_by_size,
             result.mining.patterns_by_size,
             cell_app.candidates_checked,
         )
-    assert results["fast"] == results["reference"], (app_name, graph_name)
+    assert results["fast"] == results[REFERENCE], (app_name, graph_name)
 
 
 @pytest.mark.parametrize(
@@ -175,5 +190,5 @@ def test_table3_tiny_subset(app_name, graph_name):
 @pytest.mark.parametrize("app_name", TABLE3_APPS)
 @pytest.mark.parametrize("graph_name", datasets.DATASET_ORDER)
 def test_table3_tiny_full_grid(app_name, graph_name):
-    """Every Table III tiny cell, both engines, byte-identical."""
+    """Every Table III tiny cell, fast and oracle, byte-identical."""
     _grid_cell(app_name, graph_name)

@@ -1,4 +1,4 @@
-"""Differential verification: the turbo engine vs the reference engine.
+"""Differential verification: the turbo engine vs the oracle.
 
 The contract is statistical, not byte-identical (that is the fast
 engine's suite, ``test_engine_equivalence.py``): mining counts, mining
@@ -16,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel.config import GramerConfig
-from repro.accel.sim import AncestorBufferOverflowError, make_simulator
+from repro.accel.sim import AncestorBufferOverflowError
 from repro.experiments import datasets
 from repro.experiments.paper_data import TABLE3_APPS
 from repro.graph import erdos_renyi
 from repro.mining import make_app
 from repro.runtime.backends import build_app
+from tests.differential.oracle import simulator
 from tests.differential.test_engine_equivalence import (
     APPS,
     configs,
@@ -75,7 +76,7 @@ def test_turbo_exception_parity_on_ancestor_overflow():
     for engine in ("reference", "turbo"):
         app = make_app("4-CF")
         with pytest.raises(AncestorBufferOverflowError):
-            make_simulator(graph, config, engine=engine).run(app)
+            simulator(graph, config, engine=engine).run(app)
 
 
 def _grid_cell(app_name, graph_name):
@@ -87,7 +88,7 @@ def _grid_cell(app_name, graph_name):
     snaps = {}
     for engine in ("reference", "turbo"):
         cell_app = build_app(app_name, graph_name, scale)
-        result = make_simulator(graph, config, engine=engine).run(cell_app)
+        result = simulator(graph, config, engine=engine).run(cell_app)
         snaps[engine] = {
             "stats": result.stats.as_dict(),
             "embeddings": result.mining.embeddings_by_size,

@@ -1,7 +1,8 @@
-"""Statistical-tolerance contract between the turbo and reference engines.
+"""Statistical-tolerance contract between the turbo engine and the oracle.
 
-The fast engine promises byte-identity and is checked with ``==`` (see
-``test_engine_equivalence.py``).  The turbo engine deliberately gives that
+The reference values come from the event-by-event oracle
+(``oracle.py``).  The fast engine promises byte-identity with it and is
+checked with ``==`` (see ``test_engine_equivalence.py``).  The turbo engine deliberately gives that
 up: its timing model is decoupled from the functional mining pass, so
 timing-facing ``SimStats`` fields land *near* the reference, not on it.
 "Near" must not mean "whatever the implementation happens to produce" —
@@ -39,9 +40,10 @@ from typing import Any, Mapping
 
 from repro.accel.config import GramerConfig
 from repro.accel.energy import gramer_energy
-from repro.accel.sim import make_simulator
 from repro.accel.stats import SimStats
 from repro.mining import make_app
+
+from .oracle import simulator
 
 __all__ = [
     "Band",
@@ -149,7 +151,7 @@ def snapshot_run(graph, config, app_name, engine, vertex_rank=None):
     """
     app = make_app(app_name)
     try:
-        result = make_simulator(
+        result = simulator(
             graph, config, engine=engine, vertex_rank=vertex_rank
         ).run(app)
     except Exception as error:  # noqa: BLE001 - the type IS the payload

@@ -2,8 +2,9 @@
 
 Each fixture under ``golden/turbo/`` freezes, for one Table III tiny
 cell, the turbo engine's full ``SimStats.as_dict()`` *and* its measured
-deviation envelope against the reference engine at freeze time (per
-field: reference value, turbo value, relative deviation).  The turbo
+deviation envelope against the reference model — the event-by-event
+oracle in ``tests/differential/oracle.py`` — at freeze time (per field:
+reference value, turbo value, relative deviation).  The turbo
 engine is deterministic, so the test asserts the current run matches the
 frozen turbo stats exactly — any timing-model change shows up as a
 field-level diff naming the first divergent key, and the reviewer can
@@ -29,9 +30,9 @@ from pathlib import Path
 import pytest
 
 from repro.accel.config import GramerConfig
-from repro.accel.sim import make_simulator
 from repro.experiments import datasets
 from repro.runtime.backends import build_app
+from tests.differential.oracle import REFERENCE, simulator
 from tests.differential.tolerance import TINY_GRID_SPEC, assert_within_tolerance
 from tests.experiments.test_golden_stats import CELLS, diff_golden
 
@@ -42,7 +43,7 @@ def _run_cell(app_name: str, graph_name: str, engine: str, scale: str = "tiny"):
     app = build_app(app_name, graph_name, scale)
     loader = datasets.load_labeled if app.needs_labels else datasets.load
     graph = loader(graph_name, scale)
-    result = make_simulator(graph, GramerConfig(), engine=engine).run(app)
+    result = simulator(graph, GramerConfig(), engine=engine).run(app)
     return {
         "stats": result.stats.as_dict(),
         "embeddings": result.mining.embeddings_by_size,
@@ -68,7 +69,7 @@ def compute_cell(app_name: str, graph_name: str, scale: str = "tiny") -> dict:
 
 def compute_envelope(app_name: str, graph_name: str, scale: str = "tiny"):
     """Golden payload + per-field deviation envelope (runs both engines)."""
-    reference = _run_cell(app_name, graph_name, "reference", scale)
+    reference = _run_cell(app_name, graph_name, REFERENCE, scale)
     turbo = _run_cell(app_name, graph_name, "turbo", scale)
     assert_within_tolerance(
         TINY_GRID_SPEC, reference, turbo, context=f"{app_name}/{graph_name}"

@@ -104,7 +104,7 @@ class TestCells:
         from repro.experiments import harness
 
         source = inspect.getsource(harness)
-        for forbidden in ("GramerSimulator(", "FractalModel(", "RStreamModel("):
+        for forbidden in ("make_simulator(", "FractalModel(", "RStreamModel("):
             assert forbidden not in source
 
     def test_systems_agree_on_counts(self):

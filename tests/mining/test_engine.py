@@ -161,14 +161,14 @@ class TestProbeModes:
             assert binary == scan
 
     def test_scan_mode_on_simulator(self, pl_graph):
-        from repro.accel import GramerConfig, GramerSimulator
+        from repro.accel import GramerConfig, make_simulator
 
         ref = run_dfs(pl_graph, CliqueFinding(3)).num_cliques
         app = CliqueFinding(3)
-        binary_res = GramerSimulator(
+        binary_res = make_simulator(
             pl_graph, GramerConfig(onchip_entries=256, probe_mode="binary")
         ).run(CliqueFinding(3))
-        scan_res = GramerSimulator(
+        scan_res = make_simulator(
             pl_graph, GramerConfig(onchip_entries=256, probe_mode="scan")
         ).run(app)
         assert app.num_cliques == ref

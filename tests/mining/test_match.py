@@ -118,9 +118,9 @@ class TestSubgraphMatching:
         assert match.candidates_checked <= census.candidates_checked
 
     def test_works_on_simulator(self, pl_graph):
-        from repro.accel import GramerConfig, GramerSimulator
+        from repro.accel import GramerConfig, make_simulator
 
         app = SubgraphMatching(TRIANGLE)
-        GramerSimulator(pl_graph, GramerConfig(onchip_entries=256)).run(app)
+        make_simulator(pl_graph, GramerConfig(onchip_entries=256)).run(app)
         ref = run_dfs(pl_graph, SubgraphMatching(TRIANGLE))
         assert app.num_matches == ref.num_matches

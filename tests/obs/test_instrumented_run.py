@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.accel.config import GramerConfig
-from repro.accel.sim import GramerSimulator
+from repro.accel.sim import make_simulator
 from repro.graph.generators import powerlaw_cluster
 from repro.mining.apps import CliqueFinding
 from repro.obs import (
@@ -33,7 +33,7 @@ def graph():
 
 def _run(graph, instrument=None):
     config = GramerConfig(onchip_entries=128)
-    sim = GramerSimulator(graph, config, instrument=instrument)
+    sim = make_simulator(graph, config, instrument=instrument)
     return sim.run(CliqueFinding(3))
 
 

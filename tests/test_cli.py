@@ -186,6 +186,19 @@ class TestCLI:
               "--backends", "gramer", "--scale", "tiny", "--no-cache"])
         assert "slowest jobs" in capsys.readouterr().out
 
+    def test_warm_sweep_lists_no_cached_cell_as_slowest(self, capsys):
+        """Cached cells carry the wall time of the run that computed them;
+        a warm re-run must not rank them among its slowest jobs."""
+        args = ["sweep", "--apps", "3-CF", "--datasets", "citeseer",
+                "--backends", "gramer", "--scale", "tiny"]
+        main(args)
+        capsys.readouterr()
+        main(args)
+        out = capsys.readouterr().out
+        assert "1 jobs (1 cached/resumed" in out
+        assert "[cached]" not in out
+        assert "slowest jobs" not in out
+
     def test_check_clean_file(self, tmp_path, capsys):
         target = tmp_path / "clean.py"
         target.write_text("VALUE = 3\n")

@@ -1,7 +1,7 @@
 """Smoke tests: every example runs end-to-end on the fast engine.
 
-Each example gained ``--tiny`` (shrunk graph) and ``--engine`` flags so
-this suite can execute them as real subprocesses — the same way a user
+Each example takes a ``--tiny`` flag (shrunk graph) so this suite can
+execute them as real subprocesses — the same way a user
 would — and assert they exit cleanly.  The examples self-check their own
 results (e.g. quickstart asserts simulator counts equal the software
 engine's), so exit code 0 is a meaningful signal, not just "didn't crash".
@@ -32,8 +32,6 @@ def test_example_runs_on_fast_engine(example):
             sys.executable,
             str(REPO_ROOT / "examples" / example),
             "--tiny",
-            "--engine",
-            "fast",
         ],
         env=env,
         capture_output=True,
