@@ -6,6 +6,7 @@ stack of compacted :class:`~repro.mining.engine.Frame` records (extending
 vertex + offset, Fig. 10).  The *stealing buffer* tracks recently busy slot
 IDs so an idle slot can steal work from a demonstrably busy one instead of
 probing randomly (§V-C's comparison against the LFSR selector of [8]).
+The fast engine keeps each slot's state in flat per-slot arrays.
 """
 
 from __future__ import annotations
@@ -14,44 +15,7 @@ from collections import deque
 
 from repro.mining.engine import Frame
 
-__all__ = ["SlotContext", "StealingBuffer", "split_frame", "steal_from_stack"]
-
-
-class SlotContext:
-    """One pipeline slot: an ancestor-buffer stack plus its local clock.
-
-    ``pending`` holds the recorded-but-not-yet-timed operations of the
-    step in flight.  The fast engine keeps the same state in flat
-    per-slot arrays; this object form serves the event-by-event oracle
-    (``tests/differential/oracle.py``).
-    """
-
-    __slots__ = (
-        "slot_id",
-        "stack",
-        "time",
-        "busy_cycles",
-        "roots_started",
-        "pending",
-    )
-
-    def __init__(self, slot_id: int) -> None:
-        self.slot_id = slot_id
-        self.stack: list[Frame] = []
-        self.time = 0
-        self.busy_cycles = 0
-        self.roots_started = 0
-        self.pending: deque = deque()
-
-    @property
-    def idle(self) -> bool:
-        """Whether the slot has no extension path."""
-        return not self.stack
-
-    @property
-    def depth(self) -> int:
-        """Current ancestor-buffer occupancy."""
-        return len(self.stack)
+__all__ = ["StealingBuffer", "split_frame", "steal_from_stack"]
 
 
 class StealingBuffer:

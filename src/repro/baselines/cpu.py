@@ -18,11 +18,14 @@ constants, documented in DESIGN.md.
 
 from __future__ import annotations
 
+import weakref
+from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.memory.cache import SetAssociativeCache
-from repro.memory.policies import LRUPolicy
 
 __all__ = ["CPUConfig", "CPUMemory", "CPUTimeBreakdown"]
 
@@ -90,6 +93,72 @@ class CPUTimeBreakdown:
         return {"vertex": vertex, "edge": edge, "others": 1.0 - vertex - edge}
 
 
+class _LRULevel:
+    """One level of the replay: per-set tags in recency order.
+
+    An exact LRU set-associative cache over line tags, with the same
+    counters as :class:`~repro.memory.cache.SetAssociativeCache`.  Each
+    set is a dict used as an ordered set: keys run from least to most
+    recently used, so a hit re-inserts its key and a fill into a full set
+    evicts the first key.
+    """
+
+    __slots__ = ("num_sets", "ways", "sets", "set_evictions", "hits",
+                 "misses", "evictions")
+
+    def __init__(self, num_sets: int, ways: int) -> None:
+        self.num_sets = num_sets
+        self.ways = ways
+        self.sets: list[dict[int, None]] = [{} for _ in range(num_sets)]
+        self.set_evictions = [0] * num_sets
+        self.hits = self.misses = self.evictions = 0
+
+    def replay(self, lines: list[int]) -> list[int]:
+        """Access ``lines`` in order; returns the positions that missed."""
+        sets = self.sets
+        num_sets = self.num_sets
+        ways = self.ways
+        set_evictions = self.set_evictions
+        missed: list[int] = []
+        evictions = 0
+        for position, line in enumerate(lines):
+            index = line % num_sets
+            tags = sets[index]
+            if line in tags:
+                del tags[line]
+                tags[line] = None
+                continue
+            missed.append(position)
+            tags[line] = None
+            if len(tags) > ways:
+                del tags[next(iter(tags))]
+                set_evictions[index] += 1
+                evictions += 1
+        self.misses += len(missed)
+        self.hits += len(lines) - len(missed)
+        self.evictions += evictions
+        return missed
+
+    def reset_counters(self) -> None:
+        """Zero hits, misses and evictions (per-set evictions are kept,
+        as :meth:`~repro.memory.cache.CacheStats.reset` keeps them)."""
+        self.hits = self.misses = self.evictions = 0
+
+    def publish(self, cache: SetAssociativeCache) -> None:
+        """Write this level's counters into ``cache``."""
+        cache.adopt_counters(self.hits, self.misses, self.set_evictions)
+        # adopt_counters sums the per-set counts, which include warm-up.
+        cache.stats.evictions = self.evictions
+
+
+def _misses(
+    level: _LRULevel, lines: np.ndarray, entries: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Replay ``lines`` through ``level``; the accesses that missed."""
+    missed = np.array(level.replay(lines.tolist()), dtype=np.intp)
+    return lines[missed], entries[missed]
+
+
 class CPUMemory:
     """MemoryModel charging the engine's accesses to an L1/L2/L3 stack.
 
@@ -100,18 +169,34 @@ class CPUMemory:
     (part of compute); anything beyond L1 counts as stall cycles for the
     access's dimension — mirroring how VTune attributes memory-bound stalls
     in the paper's Fig. 3 methodology.
+
+    The model has no timing feedback into the engine, so it is a pure
+    function of the access stream and runs as record-then-replay: each
+    access appends its *entry index* (``vid`` for a vertex record,
+    ``num_vertices + index`` for an edge slot) to a flat buffer, and
+    :meth:`flush` replays the buffer through the hierarchy in bulk.  The
+    buffer is flushed when it reaches :attr:`CHUNK_ENTRIES`, whenever
+    :attr:`breakdown` is read, and by RStream at every level boundary.
+    The replay is exact: the breakdown, the counters of ``l1``/``l2``/``l3``
+    and the ``observer`` call sequence equal a per-access walk of
+    :class:`~repro.memory.cache.SetAssociativeCache` levels (the oracle in
+    ``tests/differential/cpu_oracle.py``).
     """
+
+    #: Buffered accesses per replay.  Large enough to amortise the numpy
+    #: work, small enough that the buffer adds no visible RSS.
+    CHUNK_ENTRIES = 1 << 12
 
     def __init__(self, graph: CSRGraph, config: CPUConfig | None = None) -> None:
         self.config = config if config is not None else CPUConfig()
         cfg = self.config
         self.depth = 0
-        self.breakdown = CPUTimeBreakdown()
-        self._edge_region_base = graph.num_vertices * cfg.entry_bytes
-        self._num_edge_slots = len(graph.neighbors)
+        self._breakdown = CPUTimeBreakdown()
+        self._num_vertices = graph.num_vertices
+        self._num_entries = graph.num_vertices + len(graph.neighbors)
         # Optional post-L2 miss observer (repro.obs.hooks attaches one for
         # access-traced runs): called with (byte_address, is_vertex,
-        # went_to_dram) after the stall is charged.  Purely observational.
+        # went_to_dram) in access order.  Purely observational.
         self.observer = None
 
         def level(total_bytes: int) -> SetAssociativeCache:
@@ -120,36 +205,101 @@ class CPUMemory:
                 num_sets=max(1, lines // cfg.ways),
                 ways=cfg.ways,
                 line_size=cfg.line_bytes,
-                policy=LRUPolicy(),
             )
 
         self.l1 = level(cfg.l1_bytes)
         self.l2 = level(cfg.l2_bytes)
         self.l3 = level(cfg.l3_bytes)
+        self._levels = tuple(
+            _LRULevel(cache.num_sets, cache.ways)
+            for cache in (self.l1, self.l2, self.l3)
+        )
 
-    def _charge(self, byte_address: int, is_vertex: bool) -> None:
-        cfg = self.config
-        bd = self.breakdown
-        bd.accesses += 1
-        bd.compute_cycles += cfg.cycles_per_access + cfg.l1_latency
-        if self.l1.access(byte_address):
+        stream = self._stream = array("q")
+        # A vertex access records its entry index directly: no Python
+        # frame per call.  The next edge access checks the chunk bound.
+        self.vertex = append = stream.append
+        base = graph.num_vertices
+        limit = self.CHUNK_ENTRIES
+        owner = weakref.ref(self)  # no reference cycle through the closure
+
+        def edge(index: int, src: int) -> None:
+            append(base + index)
+            if len(stream) >= limit:
+                owner().flush()
+
+        self.edge = edge
+
+    @property
+    def breakdown(self) -> CPUTimeBreakdown:
+        """Cycle accounting of every access made so far."""
+        self.flush()
+        return self._breakdown
+
+    def flush(self) -> None:
+        """Replay the buffered accesses through the hierarchy."""
+        stream = self._stream
+        if not stream:
             return
-        if self.l2.access(byte_address):
-            stall = int(cfg.l2_latency * cfg.l2_stall_fraction)
-            bd.compute_cycles += cfg.l2_latency - stall
-            if stall == 0:
-                return
-        else:
-            stall = cfg.l2_latency + cfg.l3_latency
-            l3_hit = self.l3.access(byte_address)
-            if not l3_hit:
-                stall += cfg.dram_latency
-            if self.observer is not None:
-                self.observer(byte_address, is_vertex, not l3_hit)
-        if is_vertex:
-            bd.vertex_stall_cycles += stall
-        else:
-            bd.edge_stall_cycles += stall
+        entries = np.array(stream, dtype=np.int64)
+        del stream[:]
+        self._replay(entries)
+
+    def _replay(self, entries: np.ndarray) -> None:
+        cfg = self.config
+        l1, l2, l3 = self._levels
+        accesses = len(entries)
+        lines = entries * cfg.entry_bytes // cfg.line_bytes
+        # An access to the line of the access just before it is an L1 hit
+        # that leaves every LRU order as it was: count it and drop it.
+        fresh = np.empty(accesses, dtype=bool)
+        fresh[0] = True
+        np.not_equal(lines[1:], lines[:-1], out=fresh[1:])
+        lines = lines[fresh]
+        entries = entries[fresh]
+        l1.hits += accesses - len(lines)
+        # Each level sees exactly the misses of the level above, in order.
+        lines, entries = _misses(l1, lines, entries)
+        l2_vertex = int(np.count_nonzero(entries < self._num_vertices))
+        l2_edge = len(entries) - l2_vertex
+        lines, entries = _misses(l2, lines, entries)
+        is_vertex = entries < self._num_vertices
+        to_dram = np.zeros(len(entries), dtype=bool)
+        to_dram[np.array(l3.replay(lines.tolist()), dtype=np.intp)] = True
+        miss_vertex = int(np.count_nonzero(is_vertex))
+        miss_edge = len(entries) - miss_vertex
+        dram_vertex = int(np.count_nonzero(to_dram & is_vertex))
+        dram_edge = int(np.count_nonzero(to_dram)) - dram_vertex
+        hit_vertex = l2_vertex - miss_vertex
+        hit_edge = l2_edge - miss_edge
+
+        l2_stall = int(cfg.l2_latency * cfg.l2_stall_fraction)
+        miss_stall = cfg.l2_latency + cfg.l3_latency
+        bd = self._breakdown
+        bd.accesses += accesses
+        bd.compute_cycles += (
+            accesses * (cfg.cycles_per_access + cfg.l1_latency)
+            + (hit_vertex + hit_edge) * (cfg.l2_latency - l2_stall)
+        )
+        bd.vertex_stall_cycles += (
+            hit_vertex * l2_stall
+            + miss_vertex * miss_stall
+            + dram_vertex * cfg.dram_latency
+        )
+        bd.edge_stall_cycles += (
+            hit_edge * l2_stall
+            + miss_edge * miss_stall
+            + dram_edge * cfg.dram_latency
+        )
+        for level, cache in zip(self._levels, (self.l1, self.l2, self.l3)):
+            level.publish(cache)
+        observer = self.observer
+        if observer is not None:
+            addresses = (entries * cfg.entry_bytes).tolist()
+            for address, vertex, dram in zip(
+                addresses, is_vertex.tolist(), to_dram.tolist()
+            ):
+                observer(address, vertex, dram)
 
     def warm(self) -> None:
         """Pre-load the graph sequentially and zero the counters.
@@ -158,30 +308,22 @@ class CPUMemory:
         memory of the server", so steady-state cache contents — not cold
         misses — drive its measurements.  At proxy scale a cold pass is a
         visible fraction of the whole (small) run, so experiments warm the
-        hierarchy with one sequential sweep of both regions first.
+        hierarchy with one sequential sweep of both regions first: every
+        level sees every line of the graph once, in address order.
         """
-        line = self.config.line_bytes
-        total = self._edge_region_base + self._num_edge_slots * self.config.entry_bytes
-        for address in range(0, total, line):
-            self.l1.access(address)
-            self.l2.access(address)
-            self.l3.access(address)
-        self.breakdown = CPUTimeBreakdown()
-        for cache in (self.l1, self.l2, self.l3):
-            cache.stats.reset()
-
-    def vertex(self, vid: int) -> None:
-        self._charge(vid * self.config.entry_bytes, is_vertex=True)
-
-    def edge(self, index: int, src: int) -> None:
-        self._charge(
-            self._edge_region_base + index * self.config.entry_bytes,
-            is_vertex=False,
-        )
+        self.flush()
+        cfg = self.config
+        total_bytes = self._num_entries * cfg.entry_bytes
+        lines = list(range(-(-total_bytes // cfg.line_bytes)))
+        for level, cache in zip(self._levels, (self.l1, self.l2, self.l3)):
+            level.replay(lines)
+            level.reset_counters()
+            level.publish(cache)
+        self._breakdown = CPUTimeBreakdown()
 
     def charge_candidate(self, count: int = 1) -> None:
         """Framework overhead for processing ``count`` candidates."""
-        self.breakdown.compute_cycles += (
+        self._breakdown.compute_cycles += (
             count * self.config.cycles_per_candidate
         )
 

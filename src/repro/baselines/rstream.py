@@ -93,6 +93,9 @@ class RStreamModel:
             emit_spill = disk_spill_emitter(access_trace)
 
         def observe_frontier(size: int, count: int, candidates: int) -> None:
+            # Replay the level's accesses first, so a traced run records
+            # its CPU misses before the level's disk spill.
+            memory.flush()
             # RStream's relational plan materialises the join intermediates
             # (one tuple per extension candidate) and the surviving
             # embeddings of the level; both stream to SSD and the

@@ -1,10 +1,11 @@
 """Set-associative cache model.
 
 Functional (hit/miss) model used for the low-priority memory of the LAMH
-(§IV-C), for the uniform-cache baseline of Fig. 12, and — with multiple
-levels stacked — for the CPU cache hierarchy of the Fractal/RStream
-baselines.  Timing is layered on top by the simulators; this module only
-answers "would this access hit?" and keeps exact counters.
+(§IV-C) and for the uniform-cache baseline of Fig. 12.  The CPU cache
+hierarchy of the Fractal/RStream baselines replays its access stream in
+bulk and keeps its counters in three instances of this class.  Timing is
+layered on top by the simulators; this module only answers "would this
+access hit?" and keeps exact counters.
 """
 
 from __future__ import annotations
@@ -135,9 +136,10 @@ class SetAssociativeCache:
     ) -> None:
         """Take the counters of a replay of this cache run elsewhere.
 
-        The fast engine runs this state machine over flat arrays and
-        writes its counts back here, so ``publish`` and ``set_pressure``
-        describe its run.  Line contents are not copied.
+        The fast engine and the CPU baselines' replay run this state
+        machine over flat data and write their counts back here, so
+        ``publish`` and ``set_pressure`` describe their run.  Line
+        contents are not copied.
         """
         if len(set_evictions) != self.num_sets:
             raise ValueError("set_evictions needs one count per set")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.graph.generators import clique, star
 from repro.mining.engine import Frame, NullMemory, advance_frame, check_candidate
 from repro.accel.scheduler import (
-    SlotContext,
     StealingBuffer,
     split_frame,
     steal_from_stack,
@@ -38,15 +37,6 @@ class TestStealingBuffer:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             StealingBuffer(0)
-
-
-class TestSlotContext:
-    def test_idle_tracking(self):
-        slot = SlotContext(0)
-        assert slot.idle
-        slot.stack.append(Frame((0,), (0,)))
-        assert not slot.idle
-        assert slot.depth == 1
 
 
 def drain(graph, frame, clique_only=False):

@@ -32,13 +32,14 @@ hit/miss outcomes see the true interleaving.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.accel.config import GramerConfig
 from repro.accel.frontend import dispatch_roots
-from repro.accel.scheduler import SlotContext, StealingBuffer, steal_from_stack
+from repro.accel.scheduler import StealingBuffer, steal_from_stack
 from repro.accel.sim import (
     _STEAL_RETRY_CYCLES,
     AncestorBufferOverflowError,
@@ -61,6 +62,7 @@ __all__ = [
     "REFERENCE",
     "GramerSimulator",
     "ProcessingUnit",
+    "SlotContext",
     "simulator",
 ]
 
@@ -82,6 +84,42 @@ def simulator(graph, config=None, *, engine, **kwargs):
 _OP_VERTEX = 0
 _OP_EDGE = 1
 _OP_END = 2
+
+
+class SlotContext:
+    """One pipeline slot: an ancestor-buffer stack plus its local clock.
+
+    ``pending`` holds the recorded-but-not-yet-timed operations of the
+    step in flight.  The fast engine keeps the same state in flat
+    per-slot arrays.
+    """
+
+    __slots__ = (
+        "slot_id",
+        "stack",
+        "time",
+        "busy_cycles",
+        "roots_started",
+        "pending",
+    )
+
+    def __init__(self, slot_id: int) -> None:
+        self.slot_id = slot_id
+        self.stack: list[Frame] = []
+        self.time = 0
+        self.busy_cycles = 0
+        self.roots_started = 0
+        self.pending: deque = deque()
+
+    @property
+    def idle(self) -> bool:
+        """Whether the slot has no extension path."""
+        return not self.stack
+
+    @property
+    def depth(self) -> int:
+        """Current ancestor-buffer occupancy."""
+        return len(self.stack)
 
 
 class ProcessingUnit:
