@@ -15,7 +15,6 @@ import time
 from pathlib import Path
 
 from repro.experiments import ablations, dfs_vs_bfs, fig11_energy, fig12_lamh
-from repro.experiments.run_all import _fig11_text
 
 OUT = Path(sys.argv[1] if len(sys.argv) > 1 else "results")
 
@@ -36,12 +35,9 @@ def record(name: str, text: str, data) -> None:
 def main() -> None:
     start = time.perf_counter()
 
-    energy = fig11_energy.run_energy("small")
-    total = fig11_energy.run_total_time("small")
-    record("fig11", _fig11_text(energy, total),
-           {"energy": energy, "total_time": total})
-
-    record("fig12", fig12_lamh.main("small"), fig12_lamh.run("small"))
+    for name, module in (("fig11", fig11_energy), ("fig12", fig12_lamh)):
+        data = module.run("small")
+        record(name, module.render(data), data)
 
     rows = dfs_vs_bfs.run(
         "small", graphs=["citeseer", "p2p", "astro", "mico"]

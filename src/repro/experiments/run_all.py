@@ -9,12 +9,12 @@ used to fill EXPERIMENTS.md.
 
 Execution goes through :mod:`repro.runtime`: the Table III cell grid is
 submitted as job specs to one :class:`~repro.runtime.Executor` (fanned out
-over a process pool with ``--jobs N`` / ``GRAMER_JOBS``), the remaining
-independent figure/table modules fan out over the same worker budget, and
-every completed cell is memoized in the content-addressed artifact cache —
-re-running only recomputes changed cells (``--no-cache`` forces fresh
-results).  Output order and report contents are deterministic regardless
-of worker count.
+over a process pool with ``--jobs N`` / ``GRAMER_JOBS``) and memoized in
+the content-addressed artifact cache, so a re-run only recomputes changed
+cells (``--no-cache`` forces fresh results); Fig. 11 reuses those cells.
+The remaining modules fan out over the same worker budget, each computing
+its grid once per run.  Output order and report contents are deterministic
+regardless of worker count.
 """
 
 from __future__ import annotations
@@ -53,46 +53,33 @@ EXPERIMENTS = [
 ]
 
 
-def _compute_experiment(name: str, scale: str) -> tuple[str, object]:
-    """One self-contained figure/table module -> (report text, data).
+#: The self-contained modules.  Each computes its grid once with
+#: ``run(scale)`` (the data stored in ``results.json``) and renders that
+#: data with ``render(data)`` (the text of ``<name>.txt``).  ``table3`` and
+#: ``fig11`` share cells, so :func:`main` orchestrates them instead.
+MODULES = {
+    "fig02": fig02_patterns,
+    "fig03": fig03_stalls,
+    "fig05": fig05_locality,
+    "fig08": fig08_heuristic,
+    "table2": table2_resources,
+    "fig12": fig12_lamh,
+    "table4": table4_clock,
+    "fig13": fig13_pipeline,
+    "fig14": fig14_sensitivity,
+    "dfs_vs_bfs": dfs_vs_bfs,
+    "ablations": ablations,
+}
 
-    Top-level so it can cross a process-pool boundary; ``table3`` and
-    ``fig11`` are orchestrated by :func:`main` instead (they share cells).
+
+def _compute_experiment(name: str, scale: str) -> tuple[str, object]:
+    """One self-contained module -> (report text, data).
+
+    Top-level so it can cross a process-pool boundary.
     """
-    if name == "fig02":
-        return fig02_patterns.main(scale), fig02_patterns.run(scale)
-    if name == "fig03":
-        return fig03_stalls.main(scale), fig03_stalls.run(scale)
-    if name == "fig05":
-        return fig05_locality.main(scale), fig05_locality.run(scale)
-    if name == "fig08":
-        return fig08_heuristic.main(scale), fig08_heuristic.run(scale=scale)
-    if name == "table2":
-        return table2_resources.main(), table2_resources.run()
-    if name == "fig12":
-        return fig12_lamh.main(scale), fig12_lamh.run(scale)
-    if name == "table4":
-        return table4_clock.main(), table4_clock.run()
-    if name == "fig13":
-        return fig13_pipeline.main(scale), {
-            "slot_sweep": fig13_pipeline.run_slot_sweep(scale),
-            "work_stealing": fig13_pipeline.run_work_stealing(scale),
-        }
-    if name == "fig14":
-        return fig14_sensitivity.main(scale), {
-            "tau": fig14_sensitivity.run_tau_sweep(scale),
-            "lambda": fig14_sensitivity.run_lambda_sweep(scale),
-        }
-    if name == "dfs_vs_bfs":
-        return dfs_vs_bfs.main(scale), dfs_vs_bfs.run(scale)
-    if name == "ablations":
-        return ablations.main(scale), {
-            "steal_selector": ablations.run_steal_selector(scale),
-            "rank_source": ablations.run_rank_source(scale),
-            "arbitrator": ablations.run_arbitrator_policy(scale),
-            "partitions": ablations.run_partition_sweep(scale),
-        }
-    raise ValueError(f"unknown experiment {name!r}")
+    module = MODULES[name]
+    data = module.run(scale)
+    return module.render(data), data
 
 
 def _compute_modules(
@@ -177,30 +164,10 @@ def main(argv: list[str] | None = None) -> None:
             args.scale, verbose=True, executor=executor
         )
         rows = table3_runtime.speedup_rows(table3_cells)
-        from .harness import format_seconds, format_table
+        reports["table3"] = (table3_runtime.render(rows), rows)
 
-        text = "Table III — running time, GRAMER vs Fractal vs RStream\n"
-        text += format_table(
-            ["App", "Graph", "GRAMER", "Fractal", "RStream",
-             "vs Fractal (paper)", "vs RStream (paper)"],
-            [
-                [
-                    r["app"], r["graph"],
-                    format_seconds(r["gramer_s"]),
-                    format_seconds(r["fractal_s"]),
-                    format_seconds(r["rstream_s"]),
-                    (f"{r['speedup_vs_fractal']:.2f}x" if r["speedup_vs_fractal"] else "N/A")
-                    + (f" ({r['paper_speedup_vs_fractal']:.2f}x)" if r["paper_speedup_vs_fractal"] else " (N/A)"),
-                    (f"{r['speedup_vs_rstream']:.2f}x" if r["speedup_vs_rstream"] else "N/A")
-                    + (f" ({r['paper_speedup_vs_rstream']:.2f}x)" if r["paper_speedup_vs_rstream"] else " (N/A)"),
-                ]
-                for r in rows
-            ],
-        )
-        reports["table3"] = (text, rows)
-
-    # Phase 2 — independent figure/table modules fan out over the same
-    # worker budget; each repeated cell inside them hits the artifact cache.
+    # Phase 2 — the self-contained modules fan out over the same worker
+    # budget (a single selected module runs inline).
     independent = [
         name for name in selected if name not in ("table3", "fig11")
     ]
@@ -209,14 +176,8 @@ def main(argv: list[str] | None = None) -> None:
     # Phase 3 — fig11 (energy + total time), reusing table3's cells when
     # available, the artifact cache otherwise.
     if "fig11" in selected:
-        energy = fig11_energy.run_energy(args.scale, cells=table3_cells)
-        total = fig11_energy.run_total_time(args.scale)
-        reports["fig11"] = (
-            fig11_energy.main(args.scale)
-            if table3_cells is None
-            else _fig11_text(energy, total),
-            {"energy": energy, "total_time": total},
-        )
+        data = fig11_energy.run(args.scale, cells=table3_cells)
+        reports["fig11"] = (fig11_energy.render(data), data)
 
     # Emit in canonical order so reports read identically at any --jobs.
     for name in EXPERIMENTS:
@@ -233,45 +194,6 @@ def main(argv: list[str] | None = None) -> None:
     console(
         f"\nCompleted {len(selected)} experiments in "
         f"{payload['wall_seconds']:.0f}s; results under {out_dir}/"
-    )
-
-
-def _fig11_text(energy: list[dict], total: list[dict]) -> str:
-    from .harness import format_table
-
-    energy_table = format_table(
-        ["Graph", "Fractal (min/mean/max)", "RStream (min/mean/max)"],
-        [
-            [
-                r["graph"],
-                f"{r.get('fractal_min', 0):.1f}/{r.get('fractal_mean', 0):.1f}/{r.get('fractal_max', 0):.1f}x",
-                (
-                    f"{r['rstream_min']:.1f}/{r['rstream_mean']:.1f}/{r['rstream_max']:.1f}x"
-                    if "rstream_min" in r
-                    else "N/A"
-                ),
-            ]
-            for r in energy
-        ],
-    )
-    time_table = format_table(
-        ["Graph", "Exec", "Preproc", "Preproc share", "Fractal", "RStream"],
-        [
-            [
-                r["graph"],
-                f"{r['gramer_exec_s']*1e3:.1f}ms",
-                f"{r['gramer_preproc_s']*1e3:.2f}ms",
-                f"{r['preproc_fraction']:.1%}",
-                f"{(r['fractal_s'] or 0)*1e3:.1f}ms",
-                f"{(r['rstream_s'] or 0)*1e3:.1f}ms" if r["rstream_s"] else "N/A",
-            ]
-            for r in total
-        ],
-    )
-    return (
-        "Fig. 11 (a) baseline energy normalised to GRAMER\n" + energy_table
-        + "\n\nFig. 11 (b) total time including preprocessing (4-MC)\n"
-        + time_table
     )
 
 

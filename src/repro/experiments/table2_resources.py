@@ -13,11 +13,11 @@ from repro.accel.resources import PAPER_ONCHIP_ENTRIES, estimate_resources
 from .harness import format_table
 from .paper_data import TABLE2_UTILIZATION
 
-__all__ = ["run", "main"]
+__all__ = ["run", "render", "main"]
 
 
-def run() -> list[dict]:
-    """One row per application, model vs paper."""
+def run(scale: str = "small") -> list[dict]:
+    """One row per application, model vs paper (the same at every scale)."""
     config = GramerConfig(onchip_entries=PAPER_ONCHIP_ENTRIES)
     rows = []
     for app in ("CF", "FSM", "MC"):
@@ -39,9 +39,8 @@ def run() -> list[dict]:
     return rows
 
 
-def main() -> str:
+def render(rows: list[dict]) -> str:
     """Render Table II (model | paper)."""
-    rows = run()
     table = format_table(
         ["", "CF", "FSM", "MC"],
         [
@@ -61,6 +60,10 @@ def main() -> str:
         ],
     )
     return "Table II — resource utilization, model (paper)\n" + table
+
+
+def main(scale: str = "small") -> str:
+    return render(run(scale))
 
 
 if __name__ == "__main__":

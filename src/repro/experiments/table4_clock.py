@@ -13,11 +13,11 @@ from repro.accel.clockmodel import table4_design_points
 from .harness import format_table
 from .paper_data import TABLE4_CLOCK_MHZ
 
-__all__ = ["run", "main"]
+__all__ = ["run", "render", "main"]
 
 
-def run() -> list[dict]:
-    """One row per design point, model vs paper."""
+def run(scale: str = "small") -> list[dict]:
+    """One row per design point, model vs paper (the same at every scale)."""
     grid = table4_design_points()
     rows = []
     for design, model_row in grid.items():
@@ -32,9 +32,8 @@ def run() -> list[dict]:
     return rows
 
 
-def main() -> str:
+def render(rows: list[dict]) -> str:
     """Render Table IV (model | paper)."""
-    rows = run()
     table = format_table(
         ["Design", "CF", "FSM", "MC"],
         [
@@ -49,6 +48,10 @@ def main() -> str:
         ],
     )
     return "Table IV — clock rate, model (paper)\n" + table
+
+
+def main(scale: str = "small") -> str:
+    return render(run(scale))
 
 
 if __name__ == "__main__":

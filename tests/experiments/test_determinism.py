@@ -3,13 +3,21 @@
 This is the contract `gramer check`'s determinism rules (GRM1xx) enforce
 statically, asserted dynamically: every modeled result is a pure function
 of its JobSpec, so two cold back-to-back runs must serialize to the exact
-same bytes — not approximately equal, *identical*.
+same bytes — not approximately equal, *identical*.  The reports
+``gramer experiment`` writes must likewise be exactly what each module
+produces when run on its own.
 """
 
 import json
 from dataclasses import asdict
 
-from repro.experiments import table3_runtime
+from repro.experiments import (
+    fig02_patterns,
+    run_all,
+    table2_resources,
+    table3_runtime,
+    table4_clock,
+)
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.executor import Executor
 
@@ -63,3 +71,23 @@ class TestTableIIIByteDeterminism:
             for i in range(2)
         ]
         assert tables[0] == tables[1]
+
+
+class TestExperimentOutputIdentity:
+    """``gramer experiment`` writes what the modules produce on their own."""
+
+    CHEAP = {
+        "table2": table2_resources,
+        "table4": table4_clock,
+        "fig02": fig02_patterns,
+    }
+
+    def test_run_all_matches_modules(self, tmp_path):
+        run_all.main(["--scale", "tiny", "--only", *self.CHEAP, "--jobs", "1",
+                      "--out", str(tmp_path)])
+        payload = json.loads((tmp_path / "results.json").read_text(encoding="utf-8"))
+        for name, module in self.CHEAP.items():
+            text = (tmp_path / f"{name}.txt").read_text(encoding="utf-8")
+            assert text == module.main("tiny") + "\n", name
+            data = json.loads(json.dumps(module.run("tiny"), default=str))
+            assert payload[name] == data, name
